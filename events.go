@@ -1,35 +1,19 @@
 package mis
 
-// ScanProgress reports how far the current physical scan has advanced. It is
-// delivered through the OnProgress solver option after every decoded batch
-// of every sequential pass a run performs — for a multi-minute scan over a
-// billion-edge file, that is a steady heartbeat a caller can surface as a
-// progress bar or use to decide to cancel.
-type ScanProgress struct {
-	// Records is the number of vertex records delivered so far in the
-	// current physical scan.
-	Records uint64
-	// Total is the number of records a complete scan delivers (the file's
-	// vertex count).
-	Total uint64
-}
+import "repro/internal/core"
 
-// Percent returns the scan's completion as 0–100.
-func (p ScanProgress) Percent() float64 {
-	if p.Total == 0 {
-		return 100
-	}
-	return 100 * float64(p.Records) / float64(p.Total)
-}
+// ScanProgress reports how far the current physical scan has advanced: the
+// vertex records delivered so far in the current physical scan (Records)
+// against the number a complete scan delivers (Total, the file's vertex
+// count). It is delivered through the OnProgress solver option after every
+// decoded batch of every sequential pass a run performs — for a multi-minute
+// scan over a billion-edge file, that is a steady heartbeat a caller can
+// surface as a progress bar (see Percent) or use to decide to cancel.
+type ScanProgress = core.ScanProgress
 
 // RoundEvent reports one completed swap round, delivered through the
 // OnRound solver option: the 1-based round number, the net change in
 // independent-set size, the set size after the round, and the I/O the round
 // performed. With cross-round pass fusion a steady-state round shows one
 // physical scan plus carried logical scans.
-type RoundEvent struct {
-	Round int
-	Gain  int
-	Size  int
-	IO    IOStats
-}
+type RoundEvent = core.RoundEvent

@@ -1,11 +1,10 @@
 package mis
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/gio"
-	"repro/internal/graph"
 )
 
 // MaxExactVertices is the largest graph Exact accepts (the solver packs the
@@ -22,13 +21,7 @@ func Exact(f *File) (*Result, error) {
 		return nil, fmt.Errorf("mis: exact solver supports ≤ %d vertices, got %d",
 			MaxExactVertices, f.NumVertices())
 	}
-	var g *graph.Graph
-	var err error
-	if f.shards != nil {
-		g, err = gio.LoadGraphSource(f.runSource(1))
-	} else {
-		g, err = gio.LoadGraph(f.inner.Path(), f.stats.Scope())
-	}
+	g, err := core.LoadGraphSource(context.Background(), f.runSource(1), core.Hooks{})
 	if err != nil {
 		return nil, err
 	}

@@ -204,7 +204,7 @@ func (f *File) ContentDigest(ctx context.Context) (string, error) {
 }
 
 // Stats returns the accumulated I/O statistics for all operations on f.
-func (f *File) Stats() IOStats { return IOStats(f.stats.Snapshot()) }
+func (f *File) Stats() IOStats { return f.stats.Snapshot() }
 
 // ResetStats zeroes the accumulated I/O statistics.
 func (f *File) ResetStats() { f.stats.Reset() }

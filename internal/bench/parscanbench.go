@@ -157,8 +157,9 @@ func ParScanBench(cfg *Config) error {
 	}
 
 	// Shard mode: the raw graph split into vertex-range shards, scanned
-	// through the shard merge engine. Payload is the single raw file's — the
-	// same records are decoded — so MB/s stays comparable with the raw rows.
+	// through the same parallel executor over the shards' partitions.
+	// Payload is the single raw file's — the same records are decoded — so
+	// MB/s stays comparable with the raw rows.
 	shardDir := filepath.Join(cfg.WorkDir, fmt.Sprintf("scanbench-shards-n%d", n))
 	if !shard.IsManifestPath(shardDir) {
 		if _, err := shard.SplitFile(context.Background(), rawPath, shardDir, shard.SplitOptions{Shards: parScanShards}); err != nil {
@@ -230,7 +231,7 @@ func parScanOverwriteGuard(out string, numCPU int, force bool) error {
 }
 
 // parScanSource is the slice of the scan interface the sweep times: the
-// single-file executor and the shard merge engine both satisfy it.
+// single-file executor and the shard-set source both satisfy it.
 type parScanSource interface {
 	NumVertices() int
 	ForEachBatch(fn func([]gio.Record) error) error

@@ -15,6 +15,14 @@ type ScanProgress struct {
 	Total   uint64
 }
 
+// Percent returns the scan's completion as 0–100.
+func (p ScanProgress) Percent() float64 {
+	if p.Total == 0 {
+		return 100
+	}
+	return 100 * float64(p.Records) / float64(p.Total)
+}
+
 // RoundEvent reports one completed swap round: the round number (1-based),
 // the net gain in independent-set size, the set size after the round, and
 // the I/O the round performed. With cross-round pass fusion a steady-state

@@ -1,9 +1,14 @@
-// Package exec implements the parallel partitioned scan executor: it splits
-// an adjacency file into record-aligned byte-range partitions (planned once
-// per file from batch-boundary cut points), fans the block-pipelined batch
-// decoding out across a pool of worker goroutines, and merges the decoded
-// batches back into exact sequential scan order for a single consumer
-// callback.
+// Package exec implements the parallel scan executor: it fans the
+// block-pipelined batch decoding of a scan-ordered list of units — each a
+// record-aligned byte-range partition of one file — out across a pool of
+// worker goroutines, and merges the decoded batches back into exact
+// sequential scan order for a single consumer callback.
+//
+// One core, Run, serves every parallel scan in the repository. For a single
+// adjacency file (Executor) the units are the file's partitions, planned
+// once per file from batch-boundary cut points; for a sharded graph
+// (internal/shard) they are the shards' partitions in manifest order, read
+// from persisted metadata.
 //
 // The design keeps the sequential engine as the oracle: because batches are
 // delivered to the callback in global record order on the calling goroutine,
@@ -14,10 +19,10 @@
 // spend their cycles; see the parity tests for the enforced equivalences and
 // BENCH_parscan.json for the measured throughput.
 //
-// Fallbacks preserve oracle behavior exactly: workers ≤ 1, files too small
-// to split, and files whose partition planning fails (malformed input) all
-// run the ordinary sequential scan, reproducing its records, error and Stats
-// byte for byte.
+// Executor's fallbacks preserve oracle behavior exactly: workers ≤ 1, files
+// too small to split, and files whose partition planning fails (malformed
+// input) all run the ordinary sequential scan, reproducing its records,
+// error and Stats byte for byte.
 package exec
 
 import (
@@ -30,14 +35,14 @@ import (
 )
 
 const (
-	// partitionsPerWorker oversplits the file relative to the worker count
-	// so that a skewed partition (one hub vertex's huge record) does not
-	// serialize the tail of the scan: workers grab partitions dynamically.
-	partitionsPerWorker = 2
-	// partitionChanDepth bounds decoded-but-unconsumed batches per
-	// partition, keeping memory at O(workers · batch) while letting workers
-	// run ahead of the consumer.
-	partitionChanDepth = 4
+	// PartitionsPerWorker oversplits the scan relative to the worker count
+	// so that a skewed unit (one hub vertex's huge record) does not
+	// serialize the tail of the scan: workers claim units dynamically.
+	PartitionsPerWorker = 2
+	// unitChanDepth bounds decoded-but-unconsumed batches per unit, keeping
+	// memory at O(workers · batch) while letting workers run ahead of the
+	// consumer.
+	unitChanDepth = 4
 )
 
 // Executor runs scans of one file with a fixed degree of parallelism. It is
@@ -118,13 +123,17 @@ func (e *Executor) ForEachBatchCtx(ctx context.Context, fn func([]gio.Record) er
 		// through to Partitions' self-checking side scan below.
 		return e.f.ForEachBatchWithPlanCaptureCtx(ctx, fn)
 	}
-	parts, err := e.f.Partitions(e.workers * partitionsPerWorker)
+	parts, err := e.f.Partitions(e.workers * PartitionsPerWorker)
 	if err != nil || len(parts) < 2 {
 		// Malformed input (planning failed) or a file too small to split:
 		// the sequential engine is the oracle, run it verbatim.
 		return e.f.ForEachBatchCtx(ctx, fn)
 	}
-	return e.runParallel(ctx, parts, fn)
+	units := make([]Unit, len(parts))
+	for i, p := range parts {
+		units[i] = Unit{File: e.f, Part: p}
+	}
+	return Run(ctx, units, e.workers, e.f.Stats(), fn)
 }
 
 // ForEachBatchWithPlanCapture runs one full scan with opportunistic
@@ -142,8 +151,16 @@ func (e *Executor) ForEachBatchWithPlanCaptureCtx(ctx context.Context, fn func([
 	return e.ForEachBatchCtx(ctx, fn)
 }
 
-// batchMsg carries one decoded batch (or a partition's terminal status) from
-// a worker to the consumer. recs and arena transfer ownership with the
+// Unit is one work item of a scan: a record-aligned partition of one file.
+// A file's units must be contiguous in the list and together cover its
+// payload; the list order is the scan order.
+type Unit struct {
+	File *gio.File
+	Part gio.Partition
+}
+
+// batchMsg carries one decoded batch (or a unit's terminal status) from a
+// worker to the consumer. recs and arena transfer ownership with the
 // message; the consumer recycles them through the buffer pool.
 type batchMsg struct {
 	recs  []gio.Record
@@ -158,23 +175,43 @@ type batchBufs struct {
 	arena []uint32
 }
 
-func (e *Executor) runParallel(ctx context.Context, parts []gio.Partition, fn func([]gio.Record) error) error {
-	// On a mapped file, zero-copy batches alias the mapping while they sit in
-	// the partition channels — after the worker's scanner has closed and
-	// released its own mapping reference. Pin the mapping once for the whole
-	// run so a concurrent File.Close defers the munmap past the last of those
-	// in-flight batches. If the pin fails (file already closing), the workers'
-	// scans fail fast below and the error propagates normally.
-	if release, ok := e.f.PinMap(); ok {
-		defer release()
+// Run runs one full scan over units with up to workers decode goroutines
+// (at least one), invoking fn for every decoded batch in unit order on the
+// calling goroutine. The earliest error in scan order — a unit's decode
+// error or fn's — stops the scan and is returned; a canceled ctx stops the
+// merge within one batch and returns the ctx error wrapped in a
+// gio.ScanError carrying the merged scan position. Either way the worker
+// pool is drained before Run returns.
+//
+// Run accounts into stats (which may be nil) what a sequential scan of each
+// covered file would have counted: ceil(covered/B) blocks per file, every
+// block full-sized except a final one clipped at the file's end, plus
+// exactly one logical and one physical scan when the run completes. A
+// completed run covers every file whole, so its Stats are identical at any
+// worker count; a run stopped by an error covers each file's fully consumed
+// unit prefix, a deterministic lower bound on what the sequential engine
+// would have counted before the same stopping point.
+func Run(ctx context.Context, units []Unit, workers int, stats *gio.Counters, fn func([]gio.Record) error) error {
+	// Zero-copy batches alias a file's mapping while they sit in the unit
+	// channels — after the worker's scanner has closed and released its own
+	// mapping reference. Pin every mapped file once for the whole run so a
+	// concurrent Close defers the munmap past the last of those in-flight
+	// batches. If a pin fails (file already closing), the workers' scans
+	// fail fast below and the error propagates normally.
+	var total uint64
+	for i, u := range units {
+		total += u.Part.Records
+		if i > 0 && units[i-1].File == u.File {
+			continue
+		}
+		if release, ok := u.File.PinMap(); ok {
+			defer release()
+		}
 	}
-	nw := e.workers
-	if nw > len(parts) {
-		nw = len(parts)
-	}
-	chans := make([]chan batchMsg, len(parts))
+	nw := min(max(workers, 1), len(units))
+	chans := make([]chan batchMsg, len(units))
 	for i := range chans {
-		chans[i] = make(chan batchMsg, partitionChanDepth)
+		chans[i] = make(chan batchMsg, unitChanDepth)
 	}
 	quit := make(chan struct{})
 	pool := &sync.Pool{New: func() any { return &batchBufs{} }}
@@ -187,35 +224,32 @@ func (e *Executor) runParallel(ctx context.Context, parts []gio.Partition, fn fu
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(parts) {
+				if i >= len(units) {
 					return
 				}
-				if !e.scanPartition(parts[i], chans[i], quit, pool) {
+				if !scanUnit(units[i], chans[i], quit, pool) {
 					return
 				}
 			}
 		}()
 	}
 
-	// Consume partitions in order; within a partition, batches arrive in
-	// order. The merged invocation sequence is therefore the sequential scan
-	// order, and the earliest error in that order wins — exactly the
-	// sequential engine's stopping point.
-	st := e.f.Stats()
-	consumedEnd := int64(gio.HeaderSize) // end offset of the last fully consumed partition
-	total := uint64(e.f.NumVertices())
+	// Consume units in order; within a unit, batches arrive in order. The
+	// merged invocation sequence is therefore the sequential scan order, and
+	// the earliest error in that order wins — exactly the sequential
+	// engine's stopping point.
+	done := 0 // units fully consumed
 	var delivered uint64
 	var runErr error
 consume:
-	for i := range chans {
+	for ; done < len(chans); done++ {
 		for {
-			msg := <-chans[i]
+			msg := <-chans[done]
 			if msg.last {
 				if msg.err != nil {
 					runErr = msg.err
 					break consume
 				}
-				consumedEnd = parts[i].EndOffset
 				break
 			}
 			if ctx != nil {
@@ -228,8 +262,8 @@ consume:
 					break consume
 				}
 			}
-			if st != nil {
-				st.AddRecordsRead(uint64(len(msg.recs)))
+			if stats != nil {
+				stats.AddRecordsRead(uint64(len(msg.recs)))
 			}
 			if err := fn(msg.recs); err != nil {
 				runErr = err
@@ -242,42 +276,44 @@ consume:
 	close(quit)
 	wg.Wait()
 
-	// Account what the sequential engine would have counted: it consumes
-	// ceil(covered/B) blocks to reach the last record's end byte, every block
-	// full-sized except a final one clipped at end of file. A completed scan
-	// covers the whole payload and its accounting is identical to the
-	// sequential engine's; a scan stopped by an error covers the fully
-	// consumed partition prefix, a deterministic lower bound on what the
-	// sequential engine would have counted before the same stopping point
-	// (the exact figure depends on its batch boundaries). Scans counts
-	// completed scans only, exactly like the sequential engine.
-	if st != nil {
+	if stats != nil {
+		account(stats, units[:done])
 		if runErr == nil {
-			consumedEnd = parts[len(parts)-1].EndOffset
-		}
-		covered := consumedEnd - gio.HeaderSize
-		if b := int64(e.f.BlockSize()); covered > 0 {
-			blocks := (covered + b - 1) / b
-			bytes := blocks * b
-			if size, err := e.f.SizeBytes(); err == nil && bytes > size-gio.HeaderSize {
-				bytes = size - gio.HeaderSize
-			}
-			st.AddBlocksRead(uint64(blocks))
-			st.AddBytesRead(uint64(bytes))
-		}
-		if runErr == nil {
-			st.AddScans(1)
-			st.AddPhysicalScans(1)
+			stats.AddScans(1)
+			stats.AddPhysicalScans(1)
 		}
 	}
 	return runErr
 }
 
-// scanPartition decodes one partition, shipping each batch (with its
+// account adds the block and byte counters of the consumed units: for each
+// file, the sequential engine's ceil(covered/B) blocks to reach the end of
+// its last consumed unit.
+func account(stats *gio.Counters, consumed []Unit) {
+	for i, u := range consumed {
+		if i+1 < len(consumed) && consumed[i+1].File == u.File {
+			continue // not the file's last consumed unit
+		}
+		covered := u.Part.EndOffset - gio.HeaderSize
+		if covered <= 0 {
+			continue
+		}
+		b := int64(u.File.BlockSize())
+		blocks := (covered + b - 1) / b
+		bytes := blocks * b
+		if size, err := u.File.SizeBytes(); err == nil && bytes > size-gio.HeaderSize {
+			bytes = size - gio.HeaderSize
+		}
+		stats.AddBlocksRead(uint64(blocks))
+		stats.AddBytesRead(uint64(bytes))
+	}
+}
+
+// scanUnit decodes one unit, shipping each batch (with its
 // ownership-transferred buffers) to ch, then a terminal message carrying the
-// partition's scan error. It reports false when the run was cancelled.
-func (e *Executor) scanPartition(p gio.Partition, ch chan<- batchMsg, quit <-chan struct{}, pool *sync.Pool) bool {
-	sc := e.f.ScanPartition(p)
+// unit's scan error. It reports false when the run was cancelled.
+func scanUnit(u Unit, ch chan<- batchMsg, quit <-chan struct{}, pool *sync.Pool) bool {
+	sc := u.File.ScanPartition(u.Part)
 	defer sc.Close()
 	for {
 		batch := sc.NextBatch()

@@ -2,7 +2,6 @@ package gio
 
 import (
 	"bufio"
-	"context"
 	"fmt"
 	"io"
 	"os"
@@ -81,23 +80,17 @@ func WriteGraphSorted(path string, g *graph.Graph, stats *Counters) error {
 }
 
 // LoadGraph reads an entire adjacency file into memory. Intended for small
-// graphs, the DynamicUpdate baseline and tests; semi-external algorithms use
-// File.Scan instead.
+// graphs, tools and tests; semi-external algorithms use File.Scan instead,
+// and runs that need a context, hooks or a shard set load through
+// core.LoadGraphSource.
 func LoadGraph(path string, stats *Counters) (*graph.Graph, error) {
-	return LoadGraphCtx(nil, path, stats)
-}
-
-// LoadGraphCtx is LoadGraph bound to a context: a canceled or expired ctx
-// stops the load within one batch (see File.ForEachBatchCtx). A nil ctx
-// behaves exactly like LoadGraph.
-func LoadGraphCtx(ctx context.Context, path string, stats *Counters) (*graph.Graph, error) {
 	f, err := Open(path, 0, stats)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
 	b := graph.NewBuilder(f.NumVertices())
-	err = f.ForEachBatchCtx(ctx, func(batch []Record) error {
+	err = f.ForEachBatch(func(batch []Record) error {
 		for _, r := range batch {
 			for _, n := range r.Neighbors {
 				b.AddEdge(r.ID, n)
@@ -117,25 +110,6 @@ func LoadGraphCtx(ctx context.Context, path string, stats *Counters) (*graph.Gra
 type BatchSource interface {
 	NumVertices() int
 	ForEachBatch(fn func([]Record) error) error
-}
-
-// LoadGraphSource loads a whole graph into memory from one scan of any
-// source — the LoadGraph path for graphs that are not a single file, such as
-// shard sets.
-func LoadGraphSource(src BatchSource) (*graph.Graph, error) {
-	b := graph.NewBuilder(src.NumVertices())
-	err := src.ForEachBatch(func(batch []Record) error {
-		for _, r := range batch {
-			for _, n := range r.Neighbors {
-				b.AddEdge(r.ID, n)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return b.Build(), nil
 }
 
 // ReadDegrees scans the file once and returns the degree of every vertex,

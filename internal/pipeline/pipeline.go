@@ -52,7 +52,6 @@ type Source interface {
 	NumVertices() int
 	Stats() *gio.Counters
 	ForEachBatch(fn func([]gio.Record) error) error
-	ForEach(fn func(gio.Record) error) error
 }
 
 // planCapturingSource is the optional capture capability (gio.File and

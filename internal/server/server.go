@@ -187,12 +187,62 @@ func (s *Server) entry(name string) (*mis.RegistryEntry, *APIError) {
 	return e, nil
 }
 
-// digestOf pins the entry's current generation just long enough to read its
-// content digest (cached per open file after the first computation).
-func digestOf(ctx context.Context, e *mis.RegistryEntry) (string, error) {
+// pin is one request's hold on the generation it observes: the entry's
+// current file, pinned once at the top of the request, and its content
+// digest, which names the request's cache key. Every scan the request
+// causes — the computation it starts on a cache miss, a verify — runs on f,
+// so a request observes exactly one generation however many compactions
+// land meanwhile.
+//
+// The pin is reference counted because a cache computation can outlive its
+// request: the request detaches at its deadline while the computation keeps
+// scanning for other waiters (see cache.Do). The computation therefore holds
+// its own reference (see Server.do), and the generation is released only
+// when both are done.
+type pin struct {
+	f       *mis.File
+	digest  string
+	refs    atomic.Int32
+	release func()
+}
+
+// pinEntry pins e's current generation and reads its content digest (cached
+// per open file after the first computation). The caller must unpin.
+func pinEntry(ctx context.Context, e *mis.RegistryEntry) (*pin, error) {
 	f, release := e.Acquire()
-	defer release()
-	return f.ContentDigest(ctx)
+	p := &pin{f: f, release: release}
+	p.refs.Store(1)
+	d, err := f.ContentDigest(ctx)
+	if err != nil {
+		p.unpin()
+		return nil, err
+	}
+	p.digest = d
+	return p, nil
+}
+
+// unpin drops one reference; the last one releases the generation.
+func (p *pin) unpin() {
+	if p.refs.Add(-1) == 0 {
+		p.release()
+	}
+}
+
+// do answers key from the cache, running compute on the pinned file when
+// this call starts the computation. The computation holds its own reference
+// to the generation until it returns; a call that hits or joins another
+// request's computation drops that reference at once, since its compute
+// never runs (cache.Do runs fn exactly when the outcome is Miss).
+func (s *Server) do(ctx context.Context, p *pin, key string, compute func(context.Context, *mis.File) (any, error)) (any, cache.Outcome, error) {
+	p.refs.Add(1)
+	v, outcome, err := s.cache.Do(ctx, key, func(cctx context.Context) (any, error) {
+		defer p.unpin()
+		return compute(cctx, p.f)
+	})
+	if outcome != cache.Miss {
+		p.unpin()
+	}
+	return v, outcome, err
 }
 
 func decodeBody(r *http.Request, v any) *APIError {
@@ -224,7 +274,6 @@ func solveKey(digest string, req *SolveRequest) string {
 // every request that hits the entry: treat it as immutable.
 type cachedSolve struct {
 	res       *mis.Result
-	digest    string
 	elapsedMS int64
 	verified  atomic.Bool
 }
@@ -265,21 +314,24 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 // solve (a request deduplicated onto an in-flight solve only observes
 // completion).
 func (s *Server) solve(ctx context.Context, e *mis.RegistryEntry, req *SolveRequest, events func(Event)) (*SolveResponse, error) {
-	digest, err := digestOf(ctx, e)
+	p, err := pinEntry(ctx, e)
 	if err != nil {
 		return nil, err
 	}
-	fn := func(cctx context.Context) (any, error) { return s.executeSolve(cctx, e, req, events) }
+	defer p.unpin()
+	compute := func(cctx context.Context, f *mis.File) (any, error) {
+		return s.executeSolve(cctx, f, e.Name(), req, events)
+	}
 
 	var (
 		v       any
 		outcome cache.Outcome
 	)
 	if req.NoCache {
-		v, err = fn(ctx)
+		v, err = compute(ctx, p.f)
 		outcome = cache.Miss
 	} else {
-		v, outcome, err = s.cache.Do(ctx, solveKey(digest, req), fn)
+		v, outcome, err = s.do(ctx, p, solveKey(p.digest, req), compute)
 	}
 	if err != nil {
 		return nil, err
@@ -288,7 +340,7 @@ func (s *Server) solve(ctx context.Context, e *mis.RegistryEntry, req *SolveRequ
 
 	verified := cs.verified.Load()
 	if req.Verify && !verified {
-		if err := s.verifyResult(ctx, e, cs.res); err != nil {
+		if err := s.verifyResult(ctx, p.f, cs.res); err != nil {
 			return nil, err
 		}
 		cs.verified.Store(true)
@@ -298,7 +350,7 @@ func (s *Server) solve(ctx context.Context, e *mis.RegistryEntry, req *SolveRequ
 	resp := &SolveResponse{
 		Graph:       e.Name(),
 		Algorithm:   req.Algorithm,
-		Digest:      cs.digest,
+		Digest:      p.digest,
 		Size:        cs.res.Size,
 		Rounds:      cs.res.Rounds,
 		RoundGains:  cs.res.RoundGains,
@@ -315,19 +367,16 @@ func (s *Server) solve(ctx context.Context, e *mis.RegistryEntry, req *SolveRequ
 }
 
 // executeSolve is the cache-miss path: the one goroutine that actually
-// scans. It passes admission, pins the entry's current generation, and runs
-// the algorithm with the solver's event hooks wired to the sink.
-func (s *Server) executeSolve(ctx context.Context, e *mis.RegistryEntry, req *SolveRequest, events func(Event)) (any, error) {
+// scans. It passes admission and runs the algorithm on the request's pinned
+// generation f with the solver's event hooks wired to the sink.
+func (s *Server) executeSolve(ctx context.Context, f *mis.File, graph string, req *SolveRequest, events func(Event)) (any, error) {
 	if err := s.adm.acquire(ctx); err != nil {
 		return nil, err
 	}
 	defer s.adm.release()
 	if gate := testSolveGate.Load(); gate != nil {
-		(*gate)(e.Name())
+		(*gate)(graph)
 	}
-
-	f, release := e.Acquire()
-	defer release()
 
 	opts := []mis.SolverOption{
 		mis.MaxRounds(req.MaxRounds),
@@ -360,15 +409,7 @@ func (s *Server) executeSolve(ctx context.Context, e *mis.RegistryEntry, req *So
 	if err != nil {
 		return nil, err
 	}
-	// The digest of the generation actually solved: under a rare race with
-	// a concurrent compaction it may differ from the key's digest, and the
-	// response reports the truth (the stale key can never be addressed
-	// again — new requests compute the new digest).
-	digest, err := f.ContentDigest(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &cachedSolve{res: res, digest: digest, elapsedMS: time.Since(start).Milliseconds()}, nil
+	return &cachedSolve{res: res, elapsedMS: time.Since(start).Milliseconds()}, nil
 }
 
 // progressThrottle converts scan progress to events at ~1% granularity so
@@ -383,14 +424,13 @@ func progressThrottle(events func(Event)) func(mis.ScanProgress) {
 	}
 }
 
-// verifyResult runs the fused verify scan for a solve that asked for it.
-func (s *Server) verifyResult(ctx context.Context, e *mis.RegistryEntry, res *mis.Result) error {
+// verifyResult runs the fused verify scan for a solve that asked for it, on
+// the generation the request pinned.
+func (s *Server) verifyResult(ctx context.Context, f *mis.File, res *mis.Result) error {
 	if err := s.adm.acquire(ctx); err != nil {
 		return err
 	}
 	defer s.adm.release()
-	f, release := e.Acquire()
-	defer release()
 	return mis.NewSolver(f, mis.Workers(s.cfg.Workers)).Verify(ctx, res)
 }
 
@@ -421,7 +461,6 @@ func (s *Server) startSolveOp(w http.ResponseWriter, r *http.Request, e *mis.Reg
 type cachedVerify struct {
 	ok     bool
 	reason string
-	digest string
 }
 
 func verifyKey(digest string, vertices []uint32) string {
@@ -448,13 +487,14 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestCtx(r.Context(), req.TimeoutMS)
 	defer cancel()
 
-	digest, err := digestOf(ctx, e)
+	p, err := pinEntry(ctx, e)
 	if err != nil {
 		s.writeError(w, r, err)
 		return
 	}
-	v, outcome, err := s.cache.Do(ctx, verifyKey(digest, req.Vertices), func(cctx context.Context) (any, error) {
-		return s.executeVerify(cctx, e, req.Vertices)
+	defer p.unpin()
+	v, outcome, err := s.do(ctx, p, verifyKey(p.digest, req.Vertices), func(cctx context.Context, f *mis.File) (any, error) {
+		return s.executeVerify(cctx, f, req.Vertices)
 	})
 	if err != nil {
 		s.writeError(w, r, err)
@@ -463,20 +503,18 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	cv := v.(*cachedVerify)
 	writeJSON(w, http.StatusOK, VerifyResponse{
 		Graph:  e.Name(),
-		Digest: cv.digest,
+		Digest: p.digest,
 		OK:     cv.ok,
 		Reason: cv.reason,
 		Cache:  outcome.String(),
 	})
 }
 
-func (s *Server) executeVerify(ctx context.Context, e *mis.RegistryEntry, vertices []uint32) (any, error) {
+func (s *Server) executeVerify(ctx context.Context, f *mis.File, vertices []uint32) (any, error) {
 	if err := s.adm.acquire(ctx); err != nil {
 		return nil, err
 	}
 	defer s.adm.release()
-	f, release := e.Acquire()
-	defer release()
 
 	inSet := make([]bool, f.NumVertices())
 	for _, v := range vertices {
@@ -486,27 +524,22 @@ func (s *Server) executeVerify(ctx context.Context, e *mis.RegistryEntry, vertic
 		inSet[v] = true
 	}
 	res := &mis.Result{InSet: inSet, Size: len(vertices)}
-	digest, err := f.ContentDigest(ctx)
-	if err != nil {
-		return nil, err
-	}
-	err = mis.NewSolver(f, mis.Workers(s.cfg.Workers)).Verify(ctx, res)
+	err := mis.NewSolver(f, mis.Workers(s.cfg.Workers)).Verify(ctx, res)
 	if err == nil {
-		return &cachedVerify{ok: true, digest: digest}, nil
+		return &cachedVerify{ok: true}, nil
 	}
 	// A deadline, cancellation or I/O failure is this request's problem; a
 	// verification verdict is a cacheable fact about (graph, set).
 	if _, ae := apiError(err); ae.Code != CodeInternal && ae.Code != CodeVerifyFailed {
 		return nil, err
 	}
-	return &cachedVerify{ok: false, reason: err.Error(), digest: digest}, nil
+	return &cachedVerify{ok: false, reason: err.Error()}, nil
 }
 
 // ---- color and bound ----
 
 type cachedColor struct {
 	col       *mis.Coloring
-	digest    string
 	elapsedMS int64
 }
 
@@ -524,29 +557,24 @@ func (s *Server) handleColor(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestCtx(r.Context(), req.TimeoutMS)
 	defer cancel()
 
-	digest, err := digestOf(ctx, e)
+	p, err := pinEntry(ctx, e)
 	if err != nil {
 		s.writeError(w, r, err)
 		return
 	}
-	key := fmt.Sprintf("color|%s|mc=%d", digest, req.MaxColors)
-	v, outcome, err := s.cache.Do(ctx, key, func(cctx context.Context) (any, error) {
+	defer p.unpin()
+	key := fmt.Sprintf("color|%s|mc=%d", p.digest, req.MaxColors)
+	v, outcome, err := s.do(ctx, p, key, func(cctx context.Context, f *mis.File) (any, error) {
 		if err := s.adm.acquire(cctx); err != nil {
 			return nil, err
 		}
 		defer s.adm.release()
-		f, release := e.Acquire()
-		defer release()
-		d, err := f.ContentDigest(cctx)
-		if err != nil {
-			return nil, err
-		}
 		start := time.Now()
 		col, err := mis.NewSolver(f, mis.Workers(s.cfg.Workers)).ColorByIS(cctx, req.MaxColors)
 		if err != nil {
 			return nil, err
 		}
-		return &cachedColor{col: col, digest: d, elapsedMS: time.Since(start).Milliseconds()}, nil
+		return &cachedColor{col: col, elapsedMS: time.Since(start).Milliseconds()}, nil
 	})
 	if err != nil {
 		s.writeError(w, r, err)
@@ -555,7 +583,7 @@ func (s *Server) handleColor(w http.ResponseWriter, r *http.Request) {
 	cc := v.(*cachedColor)
 	writeJSON(w, http.StatusOK, ColorResponse{
 		Graph:      e.Name(),
-		Digest:     cc.digest,
+		Digest:     p.digest,
 		NumColors:  cc.col.NumColors,
 		ClassSizes: cc.col.ClassSizes,
 		Cache:      outcome.String(),
@@ -564,9 +592,8 @@ func (s *Server) handleColor(w http.ResponseWriter, r *http.Request) {
 }
 
 type cachedBound struct {
-	upper  uint64
-	wei    float64
-	digest string
+	upper uint64
+	wei   float64
 }
 
 func (s *Server) handleBound(w http.ResponseWriter, r *http.Request) {
@@ -578,22 +605,17 @@ func (s *Server) handleBound(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestCtx(r.Context(), 0)
 	defer cancel()
 
-	digest, err := digestOf(ctx, e)
+	p, err := pinEntry(ctx, e)
 	if err != nil {
 		s.writeError(w, r, err)
 		return
 	}
-	v, outcome, err := s.cache.Do(ctx, "bound|"+digest, func(cctx context.Context) (any, error) {
+	defer p.unpin()
+	v, outcome, err := s.do(ctx, p, "bound|"+p.digest, func(cctx context.Context, f *mis.File) (any, error) {
 		if err := s.adm.acquire(cctx); err != nil {
 			return nil, err
 		}
 		defer s.adm.release()
-		f, release := e.Acquire()
-		defer release()
-		d, err := f.ContentDigest(cctx)
-		if err != nil {
-			return nil, err
-		}
 		solver := mis.NewSolver(f, mis.Workers(s.cfg.Workers))
 		upper, err := solver.UpperBound(cctx)
 		if err != nil {
@@ -603,7 +625,7 @@ func (s *Server) handleBound(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		return &cachedBound{upper: upper, wei: wei, digest: d}, nil
+		return &cachedBound{upper: upper, wei: wei}, nil
 	})
 	if err != nil {
 		s.writeError(w, r, err)
@@ -612,7 +634,7 @@ func (s *Server) handleBound(w http.ResponseWriter, r *http.Request) {
 	cb := v.(*cachedBound)
 	writeJSON(w, http.StatusOK, BoundResponse{
 		Graph:  e.Name(),
-		Digest: cb.digest,
+		Digest: p.digest,
 		Upper:  cb.upper,
 		Wei:    cb.wei,
 		Cache:  outcome.String(),
@@ -622,12 +644,12 @@ func (s *Server) handleBound(w http.ResponseWriter, r *http.Request) {
 // ---- stat and status ----
 
 func (s *Server) graphInfo(ctx context.Context, e *mis.RegistryEntry) (*GraphInfo, error) {
-	f, release := e.Acquire()
-	defer release()
-	digest, err := f.ContentDigest(ctx)
+	p, err := pinEntry(ctx, e)
 	if err != nil {
 		return nil, err
 	}
+	defer p.unpin()
+	f := p.f
 	size, err := f.SizeBytes()
 	if err != nil {
 		return nil, err
@@ -639,7 +661,7 @@ func (s *Server) graphInfo(ctx context.Context, e *mis.RegistryEntry) (*GraphInf
 		AvgDegree:    f.AvgDegree(),
 		DegreeSorted: f.DegreeSorted(),
 		SizeBytes:    size,
-		Digest:       digest,
+		Digest:       p.digest,
 		IO:           ioStats(f.Stats()),
 	}
 	if j := e.Journal(); j != nil {

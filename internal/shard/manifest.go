@@ -1,9 +1,10 @@
 // Package shard presents a set of vertex-range shard files as one logical
 // graph: a JSON manifest (MANIFEST.shards) lists the shards in scan order,
 // an opener validates that their ranges tile [0, vertices) exactly, and a
-// scan engine drives per-shard workers — each shard internally using the
-// existing pipelined or mmap engine — merging batches back into the exact
-// scan order of the merged single file. Every algorithm, the pass-graph
+// Source hands the shards' partitions, in manifest order, to the parallel
+// scan executor (exec.Run) — each shard decoded by the existing pipelined
+// or mmap engine — which merges batches back into the exact scan order of
+// the merged single file. Every algorithm, the pass-graph
 // scheduler, scan accounting and ctx cancellation work unchanged on top; the
 // parity suite enforces it result for result and counter for counter.
 //

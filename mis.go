@@ -51,7 +51,6 @@ import (
 	"context"
 
 	"repro/internal/core"
-	"repro/internal/gio"
 )
 
 // Algorithm names one of the six algorithms of the paper's evaluation
@@ -129,22 +128,10 @@ func fromCore(r *core.Result) *Result {
 		Size:        r.Size,
 		Rounds:      r.Rounds,
 		RoundGains:  append([]int(nil), r.RoundGains...),
-		RoundIO:     roundIO(r.RoundIO),
+		RoundIO:     r.RoundIO,
 		MemoryBytes: r.MemoryBytes,
 		SCHighWater: r.SCHighWater,
 		Degrees:     DegreeStats(r.Degrees),
-		IO:          IOStats(r.IO),
+		IO:          r.IO,
 	}
-}
-
-// roundIO converts the per-round I/O deltas.
-func roundIO(rounds []gio.Stats) []IOStats {
-	if len(rounds) == 0 {
-		return nil
-	}
-	out := make([]IOStats, len(rounds))
-	for i, r := range rounds {
-		out[i] = IOStats(r)
-	}
-	return out
 }

@@ -1,6 +1,10 @@
 package mis
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/gio"
+)
 
 // Result is an independent set together with the run's accounting.
 type Result struct {
@@ -76,18 +80,8 @@ func (r *Result) String() string {
 // and buffered blocks. Scans counts logical passes (each algorithm pass
 // over the file); PhysicalScans counts actual end-to-end passes over the
 // disk — fewer than Scans when the pass scheduler fused logical passes into
-// shared physical scans, and the number the paper's I/O cost model prices.
-type IOStats struct {
-	Scans         int
-	PhysicalScans int
-	// CarriedScans counts logical scans satisfied from state carried across
-	// swap rounds (cross-round pass fusion) — collected while riding an
-	// earlier round's physical scan and resolved from memory, each one a
-	// physical scan the classic round structure would have paid.
-	CarriedScans  int
-	RecordsRead   uint64
-	BytesRead     uint64
-	BytesWritten  uint64
-	BlocksRead    uint64
-	BlocksWritten uint64
-}
+// shared physical scans, and the number the paper's I/O cost model prices;
+// CarriedScans counts logical scans satisfied from state carried across swap
+// rounds. It is the scan engine's own snapshot type (see gio.Stats for the
+// field definitions), so a new counter is one edit.
+type IOStats = gio.Stats

@@ -110,20 +110,9 @@ func (s *Solver) source() core.Source {
 	return s.f.runSource(s.cfg.workers)
 }
 
-// hooks adapts the solver's observers to the core layer.
+// hooks hands the solver's observers to the core layer.
 func (s *Solver) hooks() core.Hooks {
-	var h core.Hooks
-	if fn := s.cfg.onProgress; fn != nil {
-		h.OnScan = func(p core.ScanProgress) {
-			fn(ScanProgress{Records: p.Records, Total: p.Total})
-		}
-	}
-	if fn := s.cfg.onRound; fn != nil {
-		h.OnRound = func(ev core.RoundEvent) {
-			fn(RoundEvent{Round: ev.Round, Gain: ev.Gain, Size: ev.Size, IO: IOStats(ev.IO)})
-		}
-	}
-	return h
+	return core.Hooks{OnScan: s.cfg.onProgress, OnRound: s.cfg.onRound}
 }
 
 // Solve runs the named algorithm. Swap algorithms are seeded with a fresh
